@@ -63,16 +63,38 @@ func (pm PowerModel) Validate() error {
 // and supply v, with junction temperature t.
 func (pm PowerModel) CorePower(w workload.Profile, f units.MHz, v units.Volt,
 	tp thermal.Params, t units.Celsius, gated bool) units.Watt {
-	vr := float64(v) / float64(pm.VRefForCdyn)
+	vr := pm.vrel(v)
+	return pm.coreW(pm.leakW(tp.LeakageScale(t), vr), w.CdynRel, vr, f, gated)
+}
+
+// vrel is the supply relative to the voltage Cdyn is quoted at.
+func (pm PowerModel) vrel(v units.Volt) float64 {
+	return float64(v) / float64(pm.VRefForCdyn)
+}
+
+// leakW is one ungated core's leakage at relative supply vr, given the
+// junction-temperature factor thermal.Params.LeakageScale. It depends
+// on neither workload nor frequency, so every core of a chip shares it.
+func (pm PowerModel) leakW(leakScale, vr float64) float64 {
 	// Sub-threshold leakage falls steeply with supply (DIBL); a cubic
 	// dependence is the usual compact-model linearization at this
 	// operating range.
-	leak := float64(pm.CoreLeakW) * tp.LeakageScale(t) * vr * vr * vr
+	return float64(pm.CoreLeakW) * leakScale * vr * vr * vr
+}
+
+// dynW is the dynamic power of a workload with relative capacitance
+// cdynRel switching at f under relative supply vr.
+func (pm PowerModel) dynW(cdynRel, vr float64, f units.MHz) float64 {
+	return cdynRel * float64(pm.CdynMaxWPerGHz) * vr * vr * f.GHz()
+}
+
+// coreW combines a core's leakage (from leakW) with its dynamic power;
+// a gated core keeps only a residual share of the leakage.
+func (pm PowerModel) coreW(leak, cdynRel, vr float64, f units.MHz, gated bool) units.Watt {
 	if gated {
 		return units.Watt(leak * pm.GatedLeakFrac)
 	}
-	dyn := w.CdynRel * float64(pm.CdynMaxWPerGHz) * vr * vr * f.GHz()
-	return units.Watt(leak + dyn)
+	return units.Watt(leak + pm.dynW(cdynRel, vr, f))
 }
 
 // DynCurrentAmps returns the dynamic supply current of one core — the
@@ -81,7 +103,5 @@ func (pm PowerModel) DynCurrentAmps(w workload.Profile, f units.MHz, v units.Vol
 	if v <= 0 {
 		return 0
 	}
-	vr := float64(v) / float64(pm.VRefForCdyn)
-	dyn := w.CdynRel * float64(pm.CdynMaxWPerGHz) * vr * vr * f.GHz()
-	return dyn / float64(v)
+	return pm.dynW(w.CdynRel, pm.vrel(v), f) / float64(v)
 }

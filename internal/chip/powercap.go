@@ -39,15 +39,9 @@ type CapResult struct {
 // The machine is left in the chosen configuration; callers that only
 // want the answer should snapshot and restore around the call.
 func (m *Machine) SolveCapped(chipLabel string, capW units.Watt) (CapResult, error) {
-	var c *Chip
-	for _, ch := range m.Chips {
-		if ch.Profile.Label == chipLabel {
-			c = ch
-			break
-		}
-	}
-	if c == nil {
-		return CapResult{}, fmt.Errorf("chip: no chip %q", chipLabel)
+	c, err := m.chipByLabel(chipLabel)
+	if err != nil {
+		return CapResult{}, err
 	}
 	if capW <= 0 {
 		return CapResult{}, fmt.Errorf("chip: non-positive power cap %v", capW)

@@ -55,15 +55,9 @@ func (r UndervoltResult) SavingsFrac() float64 {
 // point. The machine is not modified; the result describes what the
 // off-chip controller would converge to.
 func (m *Machine) SolveUndervolt(chipLabel string, target units.MHz) (UndervoltResult, error) {
-	var c *Chip
-	for _, ch := range m.Chips {
-		if ch.Profile.Label == chipLabel {
-			c = ch
-			break
-		}
-	}
-	if c == nil {
-		return UndervoltResult{}, fmt.Errorf("chip: no chip %q", chipLabel)
+	c, err := m.chipByLabel(chipLabel)
+	if err != nil {
+		return UndervoltResult{}, err
 	}
 	if target <= 0 || target > m.profile.Params().FMaxHW {
 		return UndervoltResult{}, fmt.Errorf("chip: undervolt target %v out of range", target)

@@ -168,3 +168,16 @@ func TestOpString(t *testing.T) {
 		t.Error("unknown opcode has empty name")
 	}
 }
+
+// TestExecutedCountMatchesCleanRun: the retired-instruction count the
+// suite records at golden time is what a fresh clean run retires.
+func TestExecutedCountMatchesCleanRun(t *testing.T) {
+	s := NewSuite(5, 6, 200)
+	for i, p := range s.Programs {
+		var m Machine
+		m.Run(p)
+		if got := s.ExecutedCount(i); got != m.Executed || got <= 0 {
+			t.Errorf("program %d: ExecutedCount %d, clean run retired %d", i, got, m.Executed)
+		}
+	}
+}

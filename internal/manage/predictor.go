@@ -8,6 +8,7 @@ package manage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/chip"
@@ -67,13 +68,13 @@ func CalibrateFreqPredictor(m *chip.Machine, label string) (FreqPredictor, error
 		mode   chip.Mode
 		pstate units.MHz
 	}
-	before := map[string]saved{}
-	for _, c := range ch.Cores {
-		before[c.Profile.Label] = saved{c.Workload(), c.Mode(), c.PState()}
+	before := make([]saved, len(ch.Cores))
+	for i, c := range ch.Cores {
+		before[i] = saved{c.Workload(), c.Mode(), c.PState()}
 	}
 	defer func() {
-		for _, c := range ch.Cores {
-			s := before[c.Profile.Label]
+		for i, c := range ch.Cores {
+			s := before[i]
 			c.SetWorkload(s.w)
 			c.SetMode(s.mode)
 			if err := c.SetPState(s.pstate); err != nil {
@@ -83,37 +84,51 @@ func CalibrateFreqPredictor(m *chip.Machine, label string) (FreqPredictor, error
 	}()
 
 	// Load ladder: idle → k stream co-runners → k daxpy co-runners.
+	// Rungs that assign every core the same workload as an earlier rung
+	// (all idle co-runners: every Idle rung and each load's n = 0 rung)
+	// reuse that rung's steady state; chips share no electrical or
+	// thermal path, so only the target chip is solved. The repeated
+	// samples stay in the fit.
 	loads := []workload.Profile{workload.Idle, workload.Stream, workload.Coremark, workload.Daxpy}
-	var xs, ys []float64
+	nRungs := len(loads) * len(ch.Cores)
+	var (
+		rungs  = make([]ladderRung, 0, nRungs)
+		xs     = make([]float64, 0, nRungs)
+		ys     = make([]float64, 0, nRungs)
+		assign = make([]workload.Profile, len(ch.Cores))
+	)
 	for _, load := range loads {
 		for n := 0; n < len(ch.Cores); n++ {
 			placed := 0
-			for _, c := range ch.Cores {
-				if c.Profile.Label == label {
-					c.SetWorkload(workload.Coremark) // keep the target core busy
-					continue
-				}
-				if placed < n {
-					c.SetWorkload(load)
+			for i, c := range ch.Cores {
+				switch {
+				case c.Profile.Label == label:
+					assign[i] = workload.Coremark // keep the target core busy
+				case placed < n:
+					assign[i] = load
 					placed++
-				} else {
-					c.SetWorkload(workload.Idle)
+				default:
+					assign[i] = workload.Idle
 				}
 			}
-			st, err := m.Solve()
-			if err != nil {
-				return FreqPredictor{}, err
+			r, seen := findRung(rungs, assign)
+			if !seen {
+				for i, c := range ch.Cores {
+					c.SetWorkload(assign[i])
+				}
+				cs, err := m.SolveChip(ch.Profile.Label)
+				if err != nil {
+					return FreqPredictor{}, err
+				}
+				core, err := cs.CoreState(label)
+				if err != nil {
+					return FreqPredictor{}, err
+				}
+				r = ladderRung{slices.Clone(assign), float64(cs.Power), float64(core.Freq)}
+				rungs = append(rungs, r)
 			}
-			cs, err := st.ChipState(ch.Profile.Label)
-			if err != nil {
-				return FreqPredictor{}, err
-			}
-			core, err := st.CoreState(label)
-			if err != nil {
-				return FreqPredictor{}, err
-			}
-			xs = append(xs, float64(cs.Power))
-			ys = append(ys, float64(core.Freq))
+			xs = append(xs, r.x)
+			ys = append(ys, r.y)
 		}
 	}
 	fit, err := stats.FitLinear(xs, ys)
@@ -121,6 +136,23 @@ func CalibrateFreqPredictor(m *chip.Machine, label string) (FreqPredictor, error
 		return FreqPredictor{}, fmt.Errorf("manage: freq predictor for %s: %w", label, err)
 	}
 	return FreqPredictor{Core: label, Fit: fit}, nil
+}
+
+// ladderRung is one solved rung of the Eq. 1 calibration ladder.
+type ladderRung struct {
+	assign []workload.Profile // per-core workloads, in chip core order
+	x, y   float64            // chip power (W), target-core frequency (MHz)
+}
+
+// findRung returns the solved rung whose per-core assignment equals
+// assign, comparing whole profiles rather than names.
+func findRung(rungs []ladderRung, assign []workload.Profile) (ladderRung, bool) {
+	for _, r := range rungs {
+		if slices.Equal(r.assign, assign) {
+			return r, true
+		}
+	}
+	return ladderRung{}, false
 }
 
 // PerfPredictor is one application's Fig. 12b model: performance

@@ -84,7 +84,8 @@ func TestStagesPlanAndGroups(t *testing.T) {
 		}
 	}
 	for _, must := range []string{"cpm_site_delay", "cpm_measure", "dpll_step",
-		"pdn_steady_voltage", "chip_run_trial", "characterize", "tune", "fleet_sequential"} {
+		"pdn_steady_voltage", "chip_solve", "chip_run_trial", "characterize", "tune",
+		"calibrate_predictor", "fleet_sequential"} {
 		if !names[must] {
 			t.Errorf("stage %s missing from plan", must)
 		}

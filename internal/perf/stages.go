@@ -8,6 +8,7 @@ import (
 	"repro/internal/cpm"
 	"repro/internal/dpll"
 	"repro/internal/fleet"
+	"repro/internal/manage"
 	"repro/internal/obs"
 	"repro/internal/pdn"
 	"repro/internal/rng"
@@ -24,6 +25,8 @@ var (
 	sinkF     float64
 	sinkRead  cpm.Reading
 	sinkTrial chip.TrialResult
+	sinkState chip.State
+	sinkFit   manage.FreqPredictor
 )
 
 // StageGroups are the selectable -set values, in run order.
@@ -72,6 +75,7 @@ func pick(quick bool, quickN, fullN int) int {
 // built from. All are single-goroutine and alloc-stable: their
 // allocs/op rows gate in CI, and the hot ones must stay at zero.
 func kernelStages(quick bool) []Stage {
+	deployed := deployedReference()
 	m := chip.NewReference()
 	core := m.AllCores()[0]
 	params := m.Profile().Params()
@@ -157,6 +161,25 @@ func kernelStages(quick bool) []Stage {
 			},
 		},
 		{
+			Name: "chip_solve", Group: "kernel", AllocStable: true,
+			Note:  "steady-state fixed point of the deployed 16-core reference (chip.Machine.Solve)",
+			Iters: pick(quick, 200, 5_000),
+			Run: func(iters int) (int64, error) {
+				mm, err := deployed()
+				if err != nil {
+					return 0, err
+				}
+				for i := 0; i < iters; i++ {
+					st, err := mm.Solve()
+					if err != nil {
+						return 0, err
+					}
+					sinkState = st
+				}
+				return int64(iters), nil
+			},
+		},
+		{
 			Name: "chip_run_trial", Group: "kernel", AllocStable: true,
 			Note:  "one seeded workload trial incl. failure draw (chip.RunTrial)",
 			Iters: pick(quick, 5_000, 50_000),
@@ -177,11 +200,31 @@ func kernelStages(quick bool) []Stage {
 	}
 }
 
+// deployedReference returns a memoizing constructor for the reference
+// server after the Sec. VII-A stress-test deployment, every core at its
+// deployed CPM setting. The stage's warmup op pays for the deployment,
+// so neither the alloc pass nor the timed passes see it.
+func deployedReference() func() (*chip.Machine, error) {
+	var mm *chip.Machine
+	return func() (*chip.Machine, error) {
+		if mm != nil {
+			return mm, nil
+		}
+		m := chip.NewReference()
+		if _, err := tuning.Deploy(m, tuning.Options{}); err != nil {
+			return nil, err
+		}
+		mm = m
+		return mm, nil
+	}
+}
+
 // e2eStages benches the paper's methodology end to end on the
 // reference server, counting real trials through the obs plane so
 // trials/sec means the same thing the ROADMAP's speed targets do. A
 // fresh machine per op keeps iterations independent and deterministic.
 func e2eStages(quick bool) []Stage {
+	deployed := deployedReference()
 	return []Stage{
 		{
 			Name: "characterize", Group: "e2e", AllocStable: true,
@@ -221,6 +264,26 @@ func e2eStages(quick bool) []Stage {
 					trials += reg.Counter("atm_tune_runs_total").Value()
 				}
 				return trials, nil
+			},
+		},
+		{
+			Name: "calibrate_predictor", Group: "e2e", AllocStable: true,
+			Note:  "Eq. 1 frequency-predictor fit of one deployed reference core (manage.CalibrateFreqPredictor)",
+			Iters: pick(quick, 20, 500),
+			Run: func(iters int) (int64, error) {
+				mm, err := deployed()
+				if err != nil {
+					return 0, err
+				}
+				label := mm.AllCores()[0].Profile.Label
+				for i := 0; i < iters; i++ {
+					fp, err := manage.CalibrateFreqPredictor(mm, label)
+					if err != nil {
+						return 0, err
+					}
+					sinkFit = fp
+				}
+				return int64(iters), nil
 			},
 		},
 	}

@@ -301,11 +301,7 @@ func chipEnvelope(m *chip.Machine, ch *chip.Chip) (idleW, loadedW float64, err e
 		for _, c := range ch.Cores {
 			c.SetWorkload(w)
 		}
-		st, err := m.Solve()
-		if err != nil {
-			return 0, err
-		}
-		cs, err := st.ChipState(ch.Profile.Label)
+		cs, err := m.SolveChip(ch.Profile.Label)
 		if err != nil {
 			return 0, err
 		}

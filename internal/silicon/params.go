@@ -123,11 +123,19 @@ func (p Params) ThetaPs() units.Picosecond {
 // slack, in ps at VRef) into the frequency the DPLL settles at under
 // supply voltage v, clamped to the hardware ceiling.
 func (p Params) SettleFreq(guard units.Picosecond, v units.Volt) units.MHz {
+	return SettleFreqScaled(guard, p.Scale(v), p.FMaxHW)
+}
+
+// SettleFreqScaled is SettleFreq with the voltage factor Scale(v)
+// already evaluated and the hardware ceiling fmax passed in: a solver
+// that settles every core of a chip at one supply computes the factor
+// once instead of once per core.
+func SettleFreqScaled(guard units.Picosecond, scale float64, fmax units.MHz) units.MHz {
 	if guard <= 0 {
-		return p.FMaxHW
+		return fmax
 	}
-	f := units.Picosecond(float64(guard) * p.Scale(v)).Frequency()
-	return f.Clamp(0, p.FMaxHW)
+	f := units.Picosecond(float64(guard) * scale).Frequency()
+	return f.Clamp(0, fmax)
 }
 
 // Validate reports whether the parameter set is self-consistent.
