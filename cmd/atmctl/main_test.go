@@ -43,6 +43,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"dc budget violation is partial", []string{"dc",
 			"-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8",
 			"-chassis-cap", "30"}, 3},
+		{"dc budget violation under ops is partial", []string{"dc",
+			"-racks", "1", "-chassis", "1", "-chips-per-chassis", "2", "-ticks", "8",
+			"-chassis-cap", "30", "-ops-fault-profile", "thermal"}, 3},
 		{"dc ops recovered is ok", []string{"dc",
 			"-racks", "1", "-chassis", "2", "-chips-per-chassis", "2",
 			"-ticks", "32", "-tenants", "16",

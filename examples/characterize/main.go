@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 
 	atm "repro"
 	"repro/internal/report"
@@ -63,8 +64,15 @@ func main() {
 			perApp[app] += rb
 		}
 	}
-	for app, sum := range perApp {
-		if sum > worstSum {
+	// Visit the apps in sorted order so a tie names the same app on
+	// every run.
+	apps := make([]string, 0, len(perApp))
+	for app := range perApp {
+		apps = append(apps, app)
+	}
+	sort.Strings(apps)
+	for _, app := range apps {
+		if sum := perApp[app]; sum > worstSum {
 			worstApp, worstSum = app, sum
 		}
 	}

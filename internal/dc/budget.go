@@ -176,6 +176,51 @@ func (t *BudgetTree) Regulate(measured []float64) {
 	}
 }
 
+// Account measures one tick's per-chip draw against the caps: the
+// largest rack, chassis and chip draw, and the number of levels over
+// their threshold. Every level applies the one rule
+//
+//	threshold = min(configured cap, effective cap + idle carve-out)
+//
+// A chip's carve-out lifts its effective cap to its idle floor,
+// max(effective, idle); a chassis or rack excuses the idle draw its
+// chips' grants could not cover, Σ max(0, idle − grant). With no ops
+// event every effective cap equals its configured cap and this is the
+// plain rule; under an event it excuses only idle draw below a cap
+// the event lowered, never a configured cap below idle.
+//
+//atm:hotpath
+func (t *BudgetTree) Account(measured []float64) (rackMax, chassisMax, chipMax float64, violations int) {
+	i := 0
+	for r := 0; r < t.racks; r++ {
+		rackW, rackSlack := 0.0, 0.0
+		for c := 0; c < t.chassisPerRack; c++ {
+			chassisW, chassisSlack := 0.0, 0.0
+			for s := 0; s < t.chipsPerChassis; s++ {
+				w := measured[i]
+				chassisW += w
+				chipMax = max(chipMax, w)
+				chassisSlack += max(0, t.idle[i]-t.grant[i])
+				if w > min(t.chipCap, max(t.chipEff[i], t.idle[i]))+budgetEps {
+					violations++
+				}
+				i++
+			}
+			rackW += chassisW
+			rackSlack += chassisSlack
+			chassisMax = max(chassisMax, chassisW)
+			if chassisW > min(t.chassisCap, t.chassisEff[r*t.chassisPerRack+c]+chassisSlack)+budgetEps {
+				violations++
+			}
+		}
+		rackMax = max(rackMax, rackW)
+		if rackW > min(t.rackCap, t.rackEff[r]+rackSlack)+budgetEps {
+			violations++
+		}
+	}
+	return rackMax, chassisMax, chipMax, violations
+}
+
 // clampRequest bounds a chip's request to [idle floor, chip cap].
 // When an ops event forces the effective cap below the idle floor the
 // ceiling wins: the chip is allowed only its forced cap, the one case
@@ -211,18 +256,6 @@ func (t *BudgetTree) ForceChipCap(i int, capW float64) { t.chipEff[i] = capW }
 
 // ResetChipCap restores chip i's configured ceiling.
 func (t *BudgetTree) ResetChipCap(i int) { t.chipEff[i] = t.chipCap }
-
-// RackCapEff returns rack r's effective cap this tick.
-func (t *BudgetTree) RackCapEff(r int) float64 { return t.rackEff[r] }
-
-// ChassisCapEff returns global chassis ci's effective cap this tick.
-func (t *BudgetTree) ChassisCapEff(ci int) float64 { return t.chassisEff[ci] }
-
-// ChipCapEff returns chip i's effective ceiling this tick.
-func (t *BudgetTree) ChipCapEff(i int) float64 { return t.chipEff[i] }
-
-// Idle returns chip i's admission floor.
-func (t *BudgetTree) Idle(i int) float64 { return t.idle[i] }
 
 // SetIdle rewrites chip i's admission floor: 0 for a dead or
 // quarantined chip (its draw leaves the hierarchy), the provisioned

@@ -185,6 +185,43 @@ func TestDegradedChassisCapConvergence(t *testing.T) {
 	}
 }
 
+// TestAccountOneViolationRule pins the one cap-violation rule on a
+// 1×1×2 tree with a 10 W idle floor per chip: an ops event excuses
+// idle draw below a cap the event lowered, and nothing excuses draw
+// above a configured cap.
+func TestAccountOneViolationRule(t *testing.T) {
+	cases := []struct {
+		name                string
+		chassisCap, chipCap float64
+		thermal             float64 // forced cap on chip 0 (0 = none)
+		brownout            float64 // forced chassis cap (0 = none)
+		request, measured   []float64
+		want                int
+	}{
+		{"idle fits", 100, 40, 0, 0, []float64{10, 10}, []float64{10, 10}, 0},
+		{"thermal below idle is excused", 100, 40, 5, 0, []float64{10, 10}, []float64{10, 10}, 0},
+		{"configured chip cap below idle", 100, 8, 4, 0, []float64{10, 10}, []float64{10, 10}, 2},
+		{"brownout below idle is excused", 100, 40, 0, 15, []float64{10, 10}, []float64{10, 10}, 0},
+		{"configured chassis cap below idle", 15, 40, 0, 0, []float64{10, 10}, []float64{10, 10}, 1},
+		{"thermal idle over a configured chassis cap", 30, 40, 5, 0, []float64{10, 40}, []float64{10, 25}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tree := NewBudgetTree(1, 1, 2, 100, tc.chassisCap, tc.chipCap, 0.5, []float64{10, 10})
+			if tc.thermal != 0 {
+				tree.ForceChipCap(0, tc.thermal)
+			}
+			if tc.brownout != 0 {
+				tree.SetChassisCap(0, tc.brownout)
+			}
+			tree.Apportion(tc.request)
+			if _, _, _, got := tree.Account(tc.measured); got != tc.want {
+				t.Fatalf("Account = %d violation(s), want %d (grants %v, %v)", got, tc.want, tree.Grant(0), tree.Grant(1))
+			}
+		})
+	}
+}
+
 func TestBudgetStepAllocFree(t *testing.T) {
 	n := 2 * 4 * 8
 	idle := make([]float64, n)

@@ -71,12 +71,13 @@ type Options struct {
 	// FaultSeed by node ID.
 	FaultProfile string
 	FaultSeed    uint64
-	// OpsFaultProfile, when non-empty and not "none", arms the
-	// operational fault timeline (ParseOpsProfile spec): seeded runtime
-	// chip deaths, FSP link flaps, PDU brownouts and thermal excursions
-	// drawn from labelled splits of OpsFaultSeed (0 = 1), with the
-	// recovery ladder, tenant migration and degraded-mode water-fill
-	// built on top. "none" or "" keeps the exact pre-ops code path.
+	// OpsFaultProfile is the operational fault timeline
+	// (ParseOpsProfile spec): seeded runtime chip deaths, FSP link
+	// flaps, PDU brownouts and thermal excursions drawn from labelled
+	// splits of OpsFaultSeed (0 = 1), with the recovery ladder, tenant
+	// migration and degraded-mode water-fill built on top. The plane is
+	// a phase of the one tick loop; "none" or "" schedules no event, so
+	// that phase is a no-op.
 	OpsFaultProfile string
 	OpsFaultSeed    uint64
 	// CacheDir/Resume pass through to the intake fleet (content-
@@ -165,7 +166,7 @@ type TenantOutcome struct {
 	ThrottledTicks int     `json:"throttled_ticks,omitempty"`
 	Placed         bool    `json:"placed,omitempty"`
 	Completed      bool    `json:"completed,omitempty"`
-	// Operational-fault fate (all zero without the ops plane):
+	// Operational-fault fate (all zero under the empty ops profile):
 	// Migrations counts successful re-placements after evacuation,
 	// DowntimeTicks the queued-while-displaced ticks, Shed marks a
 	// displaced tenant never re-placed by the horizon.
@@ -184,12 +185,14 @@ type TickRow struct {
 	Queued      int     `json:"queued"`
 	Running     int     `json:"running"`
 	Throttled   int     `json:"throttled"`
-	// Violations counts cap breaches at any level this tick. The
-	// water-fill + min(grant, soft) design keeps this zero unless a
-	// caller forces a cap below the fleet's idle draw.
+	// Violations counts levels over their threshold this tick, by the
+	// one rule of BudgetTree.Account. The water-fill + min(grant, soft)
+	// design keeps this zero unless a configured cap sits below idle
+	// draw, or a thermal excursion's unsheddable idle draw pushes its
+	// chassis or rack past a configured cap.
 	Violations int `json:"violations"`
 	// Down counts chips out of service this tick (dead, quarantined,
-	// or telemetry-dark); only the ops plane sets it.
+	// or telemetry-dark); zero under the empty ops profile.
 	Down int `json:"down,omitempty"`
 }
 
@@ -229,7 +232,7 @@ type Result struct {
 
 	// Ops and Events carry the operational fault plane's availability
 	// summary and event/recovery timeline; both absent (and the
-	// serialization unchanged) when the plane is off.
+	// serialization unchanged) under the empty ops profile.
 	Ops    *OpsSummary `json:"ops,omitempty"`
 	Events []OpsEvent  `json:"events,omitempty"`
 
@@ -359,12 +362,10 @@ func Run(o Options) (*Result, error) {
 // intakeChips turns the merged fleet results into the scheduler's chip
 // view plus the per-node summaries and retained provision records, in
 // topology order. Failed nodes get a breaker tripped open past the sim
-// horizon. clock, when non-nil, is the ops plane's logical tick clock:
-// live nodes' breakers then run on it with a finite open window of
-// reAdmitTicks, so a runtime quarantine earns a re-admission probe —
-// with no ops plane (clock nil) every breaker keeps the original
-// event-clock options and, since a live node's breaker never trips,
-// the operation sim is bit-identical to the pre-ops plane.
+// horizon. Live nodes' breakers run on clock, the sim's logical tick
+// clock, with an open window of reAdmitTicks, so a runtime quarantine
+// earns a re-admission probe. Under the empty ops profile no event
+// trips a live breaker, so its clock and window never matter.
 func intakeChips(o Options, fres *fleet.CampaignResult, clock *int64, reAdmitTicks int64) ([]PlacerChip, []ChipSummary, []*platform.Provision) {
 	chips := make([]PlacerChip, len(fres.Results))
 	sums := make([]ChipSummary, len(fres.Results))
@@ -421,20 +422,17 @@ func intakeChips(o Options, fres *fleet.CampaignResult, clock *int64, reAdmitTic
 					provs[i] = prov.Provision
 				}
 				opts := guard.BreakerOptions{
-					Name: "dc/" + node,
+					Name:             "dc/" + node,
+					FailureThreshold: 1,
+					OpenTicks:        reAdmitTicks,
+					Now:              func() int64 { return *clock },
+					Obs:              o.Obs,
+				}
+				if pc.Quarantined {
 					// One failed provision quarantines the node; the
 					// open window outlasts any sim horizon so the
 					// breaker never half-opens into a broken chip.
-					FailureThreshold: 1,
-					OpenTicks:        1 << 40,
-					Obs:              o.Obs,
-				}
-				if clock != nil && !pc.Quarantined {
-					// Ops mode: runtime quarantines measure their open
-					// window on the sim tick clock and then probe for
-					// re-admission.
-					opts.OpenTicks = reAdmitTicks
-					opts.Now = func() int64 { return *clock }
+					opts.OpenTicks = 1 << 40
 				}
 				pc.Breaker = guard.NewBreaker(opts)
 				if pc.Quarantined {

@@ -172,15 +172,24 @@ func TestBudgetHierarchyEnforced(t *testing.T) {
 
 // TestForcedViolation: a chassis cap below the fleet's idle draw is
 // physically unenforceable (idle power cannot be shed) and must be
-// reported as violations, not hidden.
+// reported as violations, not hidden — under every ops profile too,
+// whose forced-below-idle carve-out excuses only caps an event lowered.
 func TestForcedViolation(t *testing.T) {
-	o := Options{Racks: 1, ChassisPerRack: 1, ChipsPerChassis: 2, ChassisCapW: 30, ChipCapW: 200, Tenants: 4}
-	res, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Budget.Violations == 0 {
-		t.Fatal("idle draw above the chassis cap reported no violations")
+	for _, profile := range []string{"", "thermal", "brownout", "flaky-links", "chip-death"} {
+		t.Run("ops="+profile, func(t *testing.T) {
+			o := Options{Racks: 1, ChassisPerRack: 1, ChipsPerChassis: 2, ChassisCapW: 30, ChipCapW: 200, Tenants: 4,
+				OpsFaultProfile: profile}
+			res, err := Run(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Budget.Violations == 0 {
+				t.Fatal("idle draw above the chassis cap reported no violations")
+			}
+			if profile != "" && res.Ops.Safe {
+				t.Fatalf("ops verdict SAFE with %d budget violation(s)", res.Budget.Violations)
+			}
+		})
 	}
 }
 

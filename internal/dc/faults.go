@@ -19,9 +19,8 @@ package dc
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
+	"repro/internal/fault"
 	"repro/internal/rng"
 )
 
@@ -144,136 +143,43 @@ var opsPresets = map[string]OpsProfile{
 	"thermal": {Thermals: 1},
 }
 
+// opsGrammar is the -ops-fault-profile spec grammar.
+var opsGrammar = fault.Grammar[OpsProfile]{
+	Prefix:    "dc",
+	Qualifier: "ops ",
+	Presets:   opsPresets,
+	Keys: []fault.Key[OpsProfile]{
+		fault.Count("chip-deaths", func(p *OpsProfile) *int { return &p.ChipDeaths }),
+		fault.Count("link-flaps", func(p *OpsProfile) *int { return &p.LinkFlaps }),
+		fault.Count("flap-ticks", func(p *OpsProfile) *int { return &p.FlapTicks }),
+		fault.Count("grace", func(p *OpsProfile) *int { return &p.GraceTicks }),
+		fault.Count("readmit", func(p *OpsProfile) *int { return &p.ReAdmitTicks }),
+		fault.Count("brownouts", func(p *OpsProfile) *int { return &p.Brownouts }),
+		fault.Count("rack-brownouts", func(p *OpsProfile) *int { return &p.RackBrownouts }),
+		fault.Value("brownout-frac", func(p *OpsProfile) *float64 { return &p.BrownoutFrac }),
+		fault.Count("brownout-ticks", func(p *OpsProfile) *int { return &p.BrownoutTicks }),
+		fault.Count("thermals", func(p *OpsProfile) *int { return &p.Thermals }),
+		fault.Value("thermal-frac", func(p *OpsProfile) *float64 { return &p.ThermalFrac }),
+		fault.Count("thermal-ticks", func(p *OpsProfile) *int { return &p.ThermalTicks }),
+	},
+	Defaults: OpsProfile.withDefaults,
+	Validate: OpsProfile.Validate,
+}
+
 // OpsPresetNames lists the named ops profiles in sorted order.
-func OpsPresetNames() []string {
-	var names []string
-	for n := range opsPresets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func OpsPresetNames() []string { return opsGrammar.PresetNames() }
 
-// ParseOpsProfile builds an OpsProfile from a spec string in the style
-// of fault.ParseProfile: a preset name ("ops-storm"), a comma-separated
-// key=value list ("chip-deaths=1,brownouts=2"), or a preset with
-// overrides ("flaky-links,grace=4"). The empty string and "none" are
-// the empty profile.
-func ParseOpsProfile(spec string) (OpsProfile, error) {
-	var p OpsProfile
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return p, nil
-	}
-	for i, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if !strings.Contains(part, "=") {
-			base, ok := opsPresets[part]
-			if !ok {
-				return OpsProfile{}, fmt.Errorf("dc: unknown ops profile %q (have %s)",
-					part, strings.Join(OpsPresetNames(), ", "))
-			}
-			if i != 0 {
-				return OpsProfile{}, fmt.Errorf("dc: preset %q must come first in %q", part, spec)
-			}
-			p = base
-			continue
-		}
-		k, v, _ := strings.Cut(part, "=")
-		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-		if err := p.set(k, v); err != nil {
-			return OpsProfile{}, err
-		}
-	}
-	p = p.withDefaults()
-	if err := p.Validate(); err != nil {
-		return OpsProfile{}, err
-	}
-	return p, nil
-}
-
-// set applies one key=value override.
-func (p *OpsProfile) set(k, v string) error {
-	parseCount := func() (int, error) {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return 0, fmt.Errorf("dc: bad count %q for %s", v, k)
-		}
-		return n, nil
-	}
-	parseFrac := func() (float64, error) {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return 0, fmt.Errorf("dc: bad value %q for %s", v, k)
-		}
-		return f, nil
-	}
-	var err error
-	switch k {
-	case "chip-deaths":
-		p.ChipDeaths, err = parseCount()
-	case "link-flaps":
-		p.LinkFlaps, err = parseCount()
-	case "flap-ticks":
-		p.FlapTicks, err = parseCount()
-	case "grace":
-		p.GraceTicks, err = parseCount()
-	case "readmit":
-		p.ReAdmitTicks, err = parseCount()
-	case "brownouts":
-		p.Brownouts, err = parseCount()
-	case "rack-brownouts":
-		p.RackBrownouts, err = parseCount()
-	case "brownout-frac":
-		p.BrownoutFrac, err = parseFrac()
-	case "brownout-ticks":
-		p.BrownoutTicks, err = parseCount()
-	case "thermals":
-		p.Thermals, err = parseCount()
-	case "thermal-frac":
-		p.ThermalFrac, err = parseFrac()
-	case "thermal-ticks":
-		p.ThermalTicks, err = parseCount()
-	default:
-		return fmt.Errorf("dc: unknown ops key %q (want chip-deaths, link-flaps, flap-ticks, grace, readmit, brownouts, rack-brownouts, brownout-frac, brownout-ticks, thermals, thermal-frac, thermal-ticks)", k)
-	}
-	return err
-}
+// ParseOpsProfile builds an OpsProfile from a spec string in the
+// fault.Grammar shared with fault.ParseProfile: a preset name
+// ("ops-storm"), a comma-separated key=value list
+// ("chip-deaths=1,brownouts=2"), or a preset with overrides
+// ("flaky-links,grace=4"). The empty string and "none" are the empty
+// profile.
+func ParseOpsProfile(spec string) (OpsProfile, error) { return opsGrammar.Parse(spec) }
 
 // String renders the profile as a canonical key=value spec
 // ParseOpsProfile accepts; the empty profile renders as "none".
-func (p OpsProfile) String() string {
-	var parts []string
-	addN := func(k string, n int) {
-		if n != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", k, n))
-		}
-	}
-	addF := func(k string, f float64) {
-		if f != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%v", k, f))
-		}
-	}
-	addN("chip-deaths", p.ChipDeaths)
-	addN("link-flaps", p.LinkFlaps)
-	addN("flap-ticks", p.FlapTicks)
-	addN("grace", p.GraceTicks)
-	addN("readmit", p.ReAdmitTicks)
-	addN("brownouts", p.Brownouts)
-	addN("rack-brownouts", p.RackBrownouts)
-	addF("brownout-frac", p.BrownoutFrac)
-	addN("brownout-ticks", p.BrownoutTicks)
-	addN("thermals", p.Thermals)
-	addF("thermal-frac", p.ThermalFrac)
-	addN("thermal-ticks", p.ThermalTicks)
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ",")
-}
+func (p OpsProfile) String() string { return opsGrammar.String(p) }
 
 // OpsKind identifies a scheduled operational event class.
 type OpsKind uint8
@@ -348,9 +254,6 @@ func pickLowest(cands []opsCandidate, n int) []opsCandidate {
 // target) and is a pure function of (profile, seed, topology, live).
 func DrawOps(p OpsProfile, seed uint64, o Options, live []bool) []OpsSched {
 	p = p.withDefaults()
-	if p.Empty() {
-		return nil
-	}
 	o = o.withDefaults()
 	if seed == 0 {
 		seed = 1

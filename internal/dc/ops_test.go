@@ -41,8 +41,8 @@ func eventTicks(res *Result, kind string) []int {
 }
 
 // TestOpsNoneMatchesPlain: -ops-fault-profile none must be
-// byte-identical to a run with the plane off — the PR 9 golden parity
-// the ops plane is built around.
+// byte-identical to a plain run — the golden parity the ops plane, a
+// no-op phase under the empty profile, is built around.
 func TestOpsNoneMatchesPlain(t *testing.T) {
 	plain, err := Run(smallOpts())
 	if err != nil {

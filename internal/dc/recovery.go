@@ -85,7 +85,9 @@ func (s *OpsSummary) Verdict() string {
 // opsPlane carries the fault schedule and recovery ladder through the
 // operation sim. All state is indexed by topology order; the plane is
 // driven single-threaded from the tick loop, so its draws and
-// transitions are worker-count-invariant by construction.
+// transitions are worker-count-invariant by construction. Every run
+// has one: under the empty profile the schedule is empty and every
+// phase is a no-op.
 type opsPlane struct {
 	p     OpsProfile
 	sched []OpsSched
@@ -105,6 +107,7 @@ type opsPlane struct {
 	linkDownUntil []int
 	linkDownSince []int
 	wasDark       []bool
+	lastTele      []float64
 	thermalUntil  []int
 	quarantinedAt []int
 	chassisUntil  []int
@@ -122,7 +125,9 @@ type opsPlane struct {
 }
 
 // newOpsPlane draws the schedule and initializes the ladder. seed 0 is
-// normalized to 1 (the injector convention everywhere else).
+// normalized to 1 (the injector convention everywhere else). The
+// dc_ops_* obs series exist only when the profile schedules events, so
+// a plain run's metrics carry no ops rows.
 func newOpsPlane(p OpsProfile, seed uint64, o Options, placer *Placer, tree *BudgetTree,
 	provs []*platform.Provision, evacuate func(chip, tick int) int, reg *obs.Registry) *opsPlane {
 	o = o.withDefaults()
@@ -148,15 +153,18 @@ func newOpsPlane(p OpsProfile, seed uint64, o Options, placer *Placer, tree *Bud
 		linkDownUntil:  make([]int, n),
 		linkDownSince:  make([]int, n),
 		wasDark:        make([]bool, n),
+		lastTele:       make([]float64, n),
 		thermalUntil:   make([]int, n),
 		quarantinedAt:  make([]int, n),
 		chassisUntil:   make([]int, o.Racks*o.ChassisPerRack),
 		rackUntil:      make([]int, o.Racks),
 		chassisPerRack: o.ChassisPerRack,
-		eventsC:        reg.Counter("dc_ops_events_total"),
-		quarC:          reg.Counter("dc_ops_quarantines_total"),
-		readmitsC:      reg.Counter("dc_ops_readmits_total"),
-		migrC:          reg.Counter("dc_ops_migrations_total"),
+	}
+	if !p.Empty() {
+		op.eventsC = reg.Counter("dc_ops_events_total")
+		op.quarC = reg.Counter("dc_ops_quarantines_total")
+		op.readmitsC = reg.Counter("dc_ops_readmits_total")
+		op.migrC = reg.Counter("dc_ops_migrations_total")
 	}
 	op.sum.Profile = p.String()
 	op.sum.Seed = seed
@@ -179,6 +187,18 @@ func (op *opsPlane) emit(ev OpsEvent) {
 // good sample for the integral controller instead.
 func (op *opsPlane) dark(i, tick int) bool {
 	return op.state[i] == opsUp && tick < op.linkDownUntil[i]
+}
+
+// telemetry returns the per-chip draw the integral controller sees
+// this tick: the measured draw, except that a node running dark holds
+// its last good sample.
+func (op *opsPlane) telemetry(measured []float64, tick int) []float64 {
+	for i, w := range measured {
+		if !op.dark(i, tick) {
+			op.lastTele[i] = w
+		}
+	}
+	return op.lastTele
 }
 
 // downCount counts chips out of service this tick: dead, quarantined,

@@ -26,12 +26,7 @@
 //     the operator transport.
 package fault
 
-import (
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // Profile describes how hostile the platform is: per-layer fault rates
 // and counts. The zero value injects nothing.
@@ -134,121 +129,34 @@ var presets = map[string]Profile{
 	},
 }
 
-// PresetNames lists the named profiles in sorted order.
-func PresetNames() []string {
-	var names []string
-	for n := range presets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+// grammar is the -fault-profile spec grammar.
+var grammar = Grammar[Profile]{
+	Prefix:  "fault",
+	Presets: presets,
+	Keys: []Key[Profile]{
+		Value("cpm-upset", func(p *Profile) *float64 { return &p.CPMUpsetProb }),
+		Count("cpm-upset-mag", func(p *Profile) *int { return &p.CPMUpsetMag }),
+		Count("stuck", func(p *Profile) *int { return &p.CPMStuckSites }),
+		Value("telemetry", func(p *Profile) *float64 { return &p.TelemetryErrProb }),
+		Value("drop", func(p *Profile) *float64 { return &p.DropProb }),
+		Value("garble", func(p *Profile) *float64 { return &p.GarbleProb }),
+		Value("trial-err", func(p *Profile) *float64 { return &p.TrialErrProb }),
+		Count("broken", func(p *Profile) *int { return &p.BrokenCores }),
+	},
+	Defaults: Profile.withDefaults,
+	Validate: Profile.Validate,
 }
 
-// ParseProfile builds a Profile from a spec string: a preset name
-// ("test-floor"), a comma-separated key=value list
-// ("trial-err=0.1,broken=1"), or a preset with overrides
+// PresetNames lists the named profiles in sorted order.
+func PresetNames() []string { return grammar.PresetNames() }
+
+// ParseProfile builds a Profile from a spec string in the shared
+// Grammar: a preset name ("test-floor"), a comma-separated key=value
+// list ("trial-err=0.1,broken=1"), or a preset with overrides
 // ("test-floor,drop=0.3"). The empty string and "none" are the empty
 // profile.
-func ParseProfile(spec string) (Profile, error) {
-	var p Profile
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return p, nil
-	}
-	for i, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if !strings.Contains(part, "=") {
-			base, ok := presets[part]
-			if !ok {
-				return Profile{}, fmt.Errorf("fault: unknown profile %q (have %s)",
-					part, strings.Join(PresetNames(), ", "))
-			}
-			if i != 0 {
-				return Profile{}, fmt.Errorf("fault: preset %q must come first in %q", part, spec)
-			}
-			p = base
-			continue
-		}
-		k, v, _ := strings.Cut(part, "=")
-		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-		if err := p.set(k, v); err != nil {
-			return Profile{}, err
-		}
-	}
-	p = p.withDefaults()
-	if err := p.Validate(); err != nil {
-		return Profile{}, err
-	}
-	return p, nil
-}
-
-// set applies one key=value override.
-func (p *Profile) set(k, v string) error {
-	parseProb := func() (float64, error) {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return 0, fmt.Errorf("fault: bad value %q for %s", v, k)
-		}
-		return f, nil
-	}
-	parseCount := func() (int, error) {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return 0, fmt.Errorf("fault: bad count %q for %s", v, k)
-		}
-		return n, nil
-	}
-	var err error
-	switch k {
-	case "cpm-upset":
-		p.CPMUpsetProb, err = parseProb()
-	case "cpm-upset-mag":
-		p.CPMUpsetMag, err = parseCount()
-	case "stuck":
-		p.CPMStuckSites, err = parseCount()
-	case "telemetry":
-		p.TelemetryErrProb, err = parseProb()
-	case "drop":
-		p.DropProb, err = parseProb()
-	case "garble":
-		p.GarbleProb, err = parseProb()
-	case "trial-err":
-		p.TrialErrProb, err = parseProb()
-	case "broken":
-		p.BrokenCores, err = parseCount()
-	default:
-		return fmt.Errorf("fault: unknown key %q (want cpm-upset, cpm-upset-mag, stuck, telemetry, drop, garble, trial-err, broken)", k)
-	}
-	return err
-}
+func ParseProfile(spec string) (Profile, error) { return grammar.Parse(spec) }
 
 // String renders the profile as a canonical key=value spec ParseProfile
 // accepts; the empty profile renders as "none".
-func (p Profile) String() string {
-	var parts []string
-	add := func(k string, v float64) {
-		if v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%v", k, v))
-		}
-	}
-	addN := func(k string, n int) {
-		if n != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", k, n))
-		}
-	}
-	add("cpm-upset", p.CPMUpsetProb)
-	addN("cpm-upset-mag", p.CPMUpsetMag)
-	addN("stuck", p.CPMStuckSites)
-	add("telemetry", p.TelemetryErrProb)
-	add("drop", p.DropProb)
-	add("garble", p.GarbleProb)
-	add("trial-err", p.TrialErrProb)
-	addN("broken", p.BrokenCores)
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ",")
-}
+func (p Profile) String() string { return grammar.String(p) }
